@@ -533,6 +533,19 @@ void ShardPackReader::decode_shard(std::size_t s,
     }
   }
   std::memcpy(labels.data(), base + labels_off, m.row_count * 8);
+  release_block(s);
+}
+
+void ShardPackReader::release_block(std::size_t s) const noexcept {
+  // Only whole pages inside the block and its CRC; if madvise fails, the
+  // pages just stay mapped. Read-only pages are never dirty: nothing is lost.
+  static const std::uintptr_t page = ::sysconf(_SC_PAGESIZE);
+  const auto first = reinterpret_cast<std::uintptr_t>(block(s));
+  const std::uintptr_t begin = (first + page - 1) / page * page;
+  const std::uintptr_t end = (first + shards_[s].block_bytes + 4) / page * page;
+  if (begin < end) {
+    ::madvise(reinterpret_cast<void*>(begin), end - begin, MADV_DONTNEED);
+  }
 }
 
 bool is_shardpack_file(const std::string& path) {

@@ -153,7 +153,8 @@ class ShardPackReader {
 
   /// Decodes shard s into the given CSR buffers (resized as needed; capacity
   /// is reused across calls — the pooling hook). Verifies the block CRC on
-  /// the shard's first decode. Throws ShardPackError on corruption.
+  /// the shard's first decode. Throws ShardPackError on corruption. Then
+  /// releases the shard's mapped pages; a later decode re-faults them.
   void decode_shard(std::size_t s, std::vector<std::size_t>& row_ptr,
                     std::vector<sparse::index_t>& col_idx,
                     std::vector<sparse::value_t>& values,
@@ -172,6 +173,7 @@ class ShardPackReader {
     return map_ + shards_[s].block_offset;
   }
   void verify_block_crc(std::size_t s) const;
+  void release_block(std::size_t s) const noexcept;
 
   std::string path_;
   const std::uint8_t* map_ = nullptr;  ///< whole-file read-only mapping

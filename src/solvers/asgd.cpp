@@ -1,7 +1,5 @@
 #include "solvers/asgd.hpp"
 
-#include <atomic>
-#include <span>
 #include <utility>
 
 #include "core/numa.hpp"
@@ -10,26 +8,58 @@
 #include "solvers/async_runner.hpp"
 #include "solvers/model.hpp"
 #include "solvers/solver.hpp"
-#include "solvers/streaming_runner.hpp"
-#include "sparse/kernels.hpp"
 #include "util/rng.hpp"
 
 namespace isasgd::solvers {
 
 namespace {
 
-/// Applies one gathered mini-batch to the shared model — each row through
-/// detail::apply_update, the single home of the Hogwild coordinate update
-/// (wild fast lane included). Shared by the in-memory and streaming
-/// drivers so the update rule can only ever change in one place.
-inline void apply_batch(SharedModel& model, const sparse::CsrMatrix& rows,
-                        std::span<const std::pair<std::size_t, double>> batch,
-                        double batch_step,
-                        const objectives::Regularization& reg,
-                        UpdatePolicy policy) {
-  for (const auto& [i, g] : batch) {
-    detail::apply_update(model, rows.row(i), batch_step, g, reg, policy);
-  }
+/// In-memory draw policy: uniform i.i.d. draws over the worker's slice of
+/// the shuffled order, all at step weight 1.0.
+struct UniformSliceDraws {
+  const std::uint32_t* slice;
+  std::size_t size;
+  util::Rng& rng;
+  detail::Draw next() { return {slice[util::uniform_index(rng, size)], 1.0}; }
+  void observe(double) const noexcept {}
+};
+
+/// Sharded draw policy: a without-replacement walk over the worker's
+/// contiguous slice of a shard's row order, all at step weight 1.0.
+struct SliceWalkDraws {
+  const std::uint32_t* at;
+  detail::Draw next() { return {*at++, 1.0}; }
+  void observe(double) const noexcept {}
+};
+
+/// Out-of-core ASGD: shards are visited in the ShardedSequence order; within
+/// each shard the workers split the shard's row order into contiguous slices
+/// and update the shared model lock-free — Hogwild confined to the resident
+/// working set, with the next shard prefetching in the background.
+Trace run_asgd_sharded(const data::DataSource& source,
+                       const objectives::Objective& objective,
+                       const SolverOptions& options, const EvalFn& eval,
+                       TrainingObserver* observer, util::ThreadPool* pool) {
+  const std::size_t threads = std::max<std::size_t>(1, options.threads);
+  SharedModel model(source.dim());
+  TraceRecorder recorder("ASGD", threads, options.step_size, eval, observer);
+  sampling::ShardedSequence schedule(source.shard_sizes(), options.seed);
+  detail::ShardedEpoch plan(source, schedule);
+  detail::HogwildLoop loop(model, objective, options, threads);
+  const double train_seconds = detail::run_epoch_fenced(
+      detail::pool_or_default(pool), model, recorder, options.epochs, threads,
+      plan,
+      [&](std::size_t tid, const detail::ShardedEpoch::Phase& phase,
+          std::size_t epoch) {
+        const std::size_t local_n = phase.rows.size();
+        const std::size_t begin = local_n * tid / threads;
+        const std::size_t end = local_n * (tid + 1) / threads;
+        SliceWalkDraws draws{phase.rows.data() + begin};
+        loop.run(tid, *phase.shard->matrix, draws, end - begin,
+                 epoch_step(options, epoch));
+      });
+  if (options.keep_final_model) recorder.set_final_model(model.snapshot());
+  return std::move(recorder).finish(train_seconds);
 }
 
 }  // namespace
@@ -41,21 +71,18 @@ Trace run_asgd(const sparse::CsrMatrix& data,
                const core::NumaPolicy* numa) {
   const std::size_t n = data.rows();
   const std::size_t threads = std::max<std::size_t>(1, options.threads);
-  TraceRecorder recorder("ASGD", threads,
-                         options.step_size, eval, observer);
+  TraceRecorder recorder("ASGD", threads, options.step_size, eval, observer);
 
   // Shuffled contiguous shards: worker tid owns rows
-  // order[n·tid/threads .. n·(tid+1)/threads).
+  // order[n·tid/threads .. n·(tid+1)/threads). NUMA placement (inactive
+  // single-node): ASGD's shards are uniform, so row counts stand in for
+  // IS-ASGD's Φ totals when balancing shards over nodes (see run_is_asgd).
   const std::vector<std::uint32_t> order =
       partition::random_shuffle(n, options.seed ^ 0xa5a5);
-  std::vector<std::size_t> boundary(threads + 1);
-  for (std::size_t a = 0; a <= threads; ++a) boundary[a] = n * a / threads;
-
-  // NUMA placement (inactive single-node): ASGD's shards are uniform, so
-  // row counts stand in for IS-ASGD's Φ totals when balancing shards over
-  // nodes. See run_is_asgd for the full rationale.
+  std::vector<std::size_t> boundary(threads + 1, 0);
   std::vector<double> shard_mass(threads);
   for (std::size_t a = 0; a < threads; ++a) {
+    boundary[a + 1] = n * (a + 1) / threads;
     shard_mass[a] = static_cast<double>(boundary[a + 1] - boundary[a]);
   }
   const core::NumaPlacement placement =
@@ -71,87 +98,20 @@ Trace run_asgd(const sparse::CsrMatrix& data,
   for (std::size_t tid = 0; tid < threads; ++tid) {
     rngs[tid].value.reseed(util::derive_seed(options.seed, tid));
   }
-  const UpdatePolicy policy = options.update_policy;
-  const bool wild = policy == UpdatePolicy::kWild;
-  // Per-worker gather scratch, allocated once for the run — the epoch body
-  // must stay allocation-free.
   const std::size_t b = std::max<std::size_t>(1, options.batch_size);
-  std::vector<std::vector<std::pair<std::size_t, double>>> batches(threads);
-  for (auto& scratch : batches) scratch.resize(b);
-
+  detail::HogwildLoop loop(model, objective, options, threads);
   const double train_seconds = detail::run_epoch_fenced(
       detail::pool_or_default(pool), model, recorder, options.epochs, threads,
       [&](std::size_t tid, std::size_t epoch) {
-        const std::size_t begin = boundary[tid], end = boundary[tid + 1];
-        const std::size_t local_n = end - begin;
+        const std::size_t local_n = boundary[tid + 1] - boundary[tid];
         if (local_n == 0) return;
-        util::Rng& rng = rngs[tid].value;
+        UniformSliceDraws draws{order.data() + boundary[tid], local_n,
+                                rngs[tid].value};
         // The schedule is a pure function of the epoch, so every worker
         // derives the same λ locally — no shared decay state to race on.
-        const double lambda = epoch_step(options, epoch);
-        const std::size_t updates = (local_n + b - 1) / b;
-        std::vector<std::pair<std::size_t, double>>& batch = batches[tid];
-        for (std::size_t u = 0; u < updates; ++u) {
-          // Gather the mini-batch's gradient scales against the current
-          // (racy) model state, then apply; b = 1 is the paper's kernel.
-          for (std::size_t k = 0; k < b; ++k) {
-            const std::size_t i =
-                order[begin + util::uniform_index(rng, local_n)];
-            const double margin = detail::gather_margin(model, data.row(i), wild);
-            batch[k] = {i, objective.gradient_scale(margin, data.label(i))};
-          }
-          apply_batch(model, data, batch, lambda / static_cast<double>(b),
-                      options.reg, policy);
-        }
-      });
-  if (options.keep_final_model) recorder.set_final_model(model.snapshot());
-  return std::move(recorder).finish(train_seconds);
-}
-
-Trace run_asgd_streaming(const data::DataSource& source,
-                         const objectives::Objective& objective,
-                         const SolverOptions& options, const EvalFn& eval,
-                         TrainingObserver* observer, util::ThreadPool* pool) {
-  const std::size_t threads = std::max<std::size_t>(1, options.threads);
-  SharedModel model(source.dim());
-  TraceRecorder recorder("ASGD", threads,
-                         options.step_size, eval, observer);
-  sampling::ShardedSequence schedule(source.shard_sizes(), options.seed);
-  const UpdatePolicy policy = options.update_policy;
-  const bool wild = policy == UpdatePolicy::kWild;
-  const std::size_t b = std::max<std::size_t>(1, options.batch_size);
-  // Per-worker gather scratch, allocated once for the whole run: the shard
-  // loop is inside the timed window, so per-shard allocations would tax the
-  // very throughput bench/streaming measures.
-  std::vector<std::vector<std::pair<std::size_t, double>>> batches(threads);
-  for (auto& scratch : batches) scratch.resize(b);
-
-  const double train_seconds = detail::run_epoch_fenced_sharded(
-      detail::pool_or_default(pool), source, schedule, model, recorder,
-      options.epochs, threads,
-      [&](std::size_t tid, const data::Shard& shard,
-          std::span<const std::uint32_t> row_order, std::size_t epoch) {
-        // Worker tid owns the contiguous slice [begin, end) of this shard's
-        // row order — a without-replacement split, the shard-local analog of
-        // run_asgd's per-worker dataset shards.
-        const std::size_t local_n = row_order.size();
-        const std::size_t begin = local_n * tid / threads;
-        const std::size_t end = local_n * (tid + 1) / threads;
-        if (begin == end) return;
-        const sparse::CsrMatrix& rows = *shard.matrix;
-        const double lambda = epoch_step(options, epoch);
-        std::vector<std::pair<std::size_t, double>>& batch = batches[tid];
-        for (std::size_t at = begin; at < end; at += b) {
-          const std::size_t count = std::min(b, end - at);
-          for (std::size_t k = 0; k < count; ++k) {
-            const std::size_t i = row_order[at + k];
-            const double margin = detail::gather_margin(model, rows.row(i), wild);
-            batch[k] = {i, objective.gradient_scale(margin, rows.label(i))};
-          }
-          apply_batch(model, rows, {batch.data(), count},
-                      lambda / static_cast<double>(count), options.reg,
-                      policy);
-        }
+        // Every batch is full: ⌈local_n/b⌉·b draws per worker per epoch.
+        loop.run(tid, data, draws, (local_n + b - 1) / b * b,
+                 epoch_step(options, epoch));
       });
   if (options.keep_final_model) recorder.set_final_model(model.snapshot());
   return std::move(recorder).finish(train_seconds);
@@ -169,8 +129,8 @@ class AsgdSolver final : public Solver {
  protected:
   Trace run_impl(const SolverContext& ctx) const override {
     if (ctx.sharded()) {
-      return run_asgd_streaming(ctx.source, ctx.objective, ctx.options,
-                                ctx.eval, ctx.observer, ctx.pool);
+      return run_asgd_sharded(ctx.source, ctx.objective, ctx.options,
+                              ctx.eval, ctx.observer, ctx.pool);
     }
     return run_asgd(ctx.data(), ctx.objective, ctx.options, ctx.eval,
                     ctx.observer, ctx.pool, ctx.numa);

@@ -1,13 +1,15 @@
 // ASGD — Hogwild-style lock-free asynchronous SGD (Recht et al. 2011),
 // the algorithm the paper sets out to accelerate.
 //
-// The dataset is shuffled and split into numT contiguous shards; each worker
-// samples uniformly from its own shard and updates the shared model without
-// any synchronisation (per the configured UpdatePolicy). One epoch = n total
-// iterations across workers.
+// ASGD and IS-ASGD are presets of one worker loop (detail::HogwildLoop,
+// solvers/async_runner.hpp) with three draw policies: in-memory ASGD draws
+// uniformly i.i.d. from the worker's slice of a shuffled order at weight 1.0
+// and fills every mini-batch (⌈local_n/b⌉·b draws per worker per epoch);
+// sharded ASGD walks the worker's slice of each shard's ShardedSequence row
+// order; IS-ASGD draws from its BlockSequence (is_asgd.hpp). Workers update
+// the shared model per the configured UpdatePolicy, without synchronisation.
 #pragma once
 
-#include "data/data_source.hpp"
 #include "objectives/objective.hpp"
 #include "solvers/options.hpp"
 #include "solvers/trace.hpp"
@@ -34,17 +36,5 @@ Trace run_asgd(const sparse::CsrMatrix& data,
                TrainingObserver* observer = nullptr,
                util::ThreadPool* pool = nullptr,
                const core::NumaPolicy* numa = nullptr);
-
-/// Out-of-core ASGD: shards are visited sequentially in the ShardedSequence
-/// order; within each shard the workers split the shard's row order into
-/// contiguous slices and update the shared model lock-free — Hogwild
-/// confined to the resident working set, with the next shard prefetching in
-/// the background. One epoch = one full pass over the source. The "ASGD"
-/// registry entry dispatches here whenever the source is sharded.
-Trace run_asgd_streaming(const data::DataSource& source,
-                         const objectives::Objective& objective,
-                         const SolverOptions& options, const EvalFn& eval,
-                         TrainingObserver* observer = nullptr,
-                         util::ThreadPool* pool = nullptr);
 
 }  // namespace isasgd::solvers

@@ -1,6 +1,5 @@
 #include "solvers/is_asgd.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <memory>
 
@@ -37,7 +36,8 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
                 : detail::importance_weights(data, objective, options);
   partition::PartitionOptions popt = options.partition;
   popt.shuffle_seed = options.seed ^ 0x1517;
-  const partition::PartitionPlan plan(importance, threads, popt);
+  const partition::PartitionPlan plan(
+      importance, std::min(threads, importance.size()), popt);
   {
     IsAsgdReport diagnostics;
     diagnostics.applied_strategy = plan.applied_strategy();
@@ -69,7 +69,6 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
   struct WorkerState {
     std::vector<double> weight;  // indexed by local slot
     std::unique_ptr<sampling::BlockSequence> seq;
-    std::vector<std::pair<std::size_t, double>> batch;  // (slot, g) scratch
     /// Adaptive-importance extension (Eq. 11) state, all thread-local —
     /// each worker refreshes only its own shard, nothing to race on:
     std::vector<double> row_norm;  // ‖x_i‖ per local slot, cached at setup
@@ -82,14 +81,12 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
   // The deprecated reshuffle_sequences flag is folded into sequence_mode by
   // Solver::validate before the run reaches this point.
   const auto mode = options.sequence_mode;
-  const std::size_t b = std::max<std::size_t>(1, options.batch_size);
   std::vector<WorkerState> workers(threads);
   for (std::size_t tid = 0; tid < threads; ++tid) {
-    const partition::Shard shard = plan.shard(tid);
+    const partition::Shard shard = detail::team_shard(plan, tid);
     const std::size_t local_n = shard.rows.size();
     WorkerState& ws = workers[tid];
     ws.seed = util::derive_seed(options.seed, 101 + tid);
-    ws.batch.resize(b);
     ws.weight.resize(local_n);
     for (std::size_t k = 0; k < local_n; ++k) {
       const double p = shard.probabilities[k];
@@ -122,14 +119,8 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
   }
   recorder.add_setup_seconds(setup.seconds());
 
-  const UpdatePolicy policy = options.update_policy;
-  // Wild-policy fast lane: under kWild (and in serial runs) the margin dot
-  // and the fused update run on the raw wild_view through the
-  // ISASGD_RESTRICT kernels (detail::gather_margin / detail::apply_update)
-  // — bit-identical arithmetic to the atomic-load path
-  // (tests/wild_view_test.cpp), minus the per-element atomic calls.
-  const bool wild = policy == UpdatePolicy::kWild;
   const bool adaptive = options.adaptive_importance;
+  detail::HogwildLoop loop(model, objective, options, threads);
 
   // Eq.-11 adaptive refresh (extension): re-estimate this worker's local
   // importance |∇f_i(ŵ)| = |φ'(ŵ·x_i)|·‖x_i‖ and rebuild its alias table +
@@ -141,15 +132,13 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
   // Unvisited slots keep their previous estimate. Charged inside the
   // training window, like every adaptive cost.
   auto refresh_adaptive = [&](std::size_t tid, std::size_t epoch) {
-    const partition::Shard shard = plan.shard(tid);
+    const partition::Shard shard = detail::team_shard(plan, tid);
     const std::size_t local_n = shard.rows.size();
     WorkerState& ws = workers[tid];
     if (!ws.refreshed_once) {
       for (std::size_t k = 0; k < local_n; ++k) {
-        const auto x = data.row(shard.rows[k]);
-        const double margin = detail::gather_margin(model, x, wild);
-        ws.last_g[k] =
-            std::abs(objective.gradient_scale(margin, data.label(shard.rows[k])));
+        const std::size_t i = shard.rows[k];
+        ws.last_g[k] = std::abs(loop.gradient(data.row(i), data.label(i)));
       }
       ws.refreshed_once = true;
     }
@@ -173,10 +162,26 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
   };
 
   // ---- Training (Algorithm 4 lines 13–15): the ASGD kernel ----
+  // Draw policy: the worker's block sequence over its shard's local slots at
+  // weight 1/(N_tid·p_i); observe() records |φ'| per slot for the refresh.
+  struct ImportanceDraws {
+    sampling::BlockSequence& seq;
+    const std::uint32_t* rows;
+    const double* weight;
+    double* last_g;  // null unless adaptive
+    std::size_t slot = 0;
+    detail::Draw next() {
+      slot = seq.next();
+      return {rows[slot], weight[slot]};
+    }
+    void observe(double g) {
+      if (last_g) last_g[slot] = std::abs(g);
+    }
+  };
   const double train_seconds = detail::run_epoch_fenced(
       detail::pool_or_default(pool), model, recorder, options.epochs, threads,
       [&](std::size_t tid, std::size_t epoch) {
-        const partition::Shard shard = plan.shard(tid);
+        const partition::Shard shard = detail::team_shard(plan, tid);
         WorkerState& ws = workers[tid];
         if (shard.rows.empty()) return;
         if (adaptive) {
@@ -193,49 +198,10 @@ Trace run_is_asgd(const sparse::CsrMatrix& data,
         } else {
           ws.seq->begin_epoch(epoch);
         }
-        const double lambda = epoch_step(options, epoch);
-        const std::size_t len = ws.seq->epoch_length();
-        const std::size_t updates = (len + b - 1) / b;
-        sampling::BlockSequence& seq = *ws.seq;
-        if (b == 1) {
-          // The paper's kernel (one sample per update): no batch buffer, no
-          // second row decode, no ÷bsize (÷1 is the identity) — same
-          // per-coordinate arithmetic as the general loop below.
-          for (std::size_t t = 0; t < len; ++t) {
-            const std::size_t slot = seq.next();
-            const std::size_t i = shard.rows[slot];
-            const auto x = data.row(i);
-            const double margin = detail::gather_margin(model, x, wild);
-            const double g = objective.gradient_scale(margin, data.label(i));
-            if (adaptive) ws.last_g[slot] = std::abs(g);
-            const double scaled_step = lambda * ws.weight[slot];
-            detail::apply_update(model, x, scaled_step, g, options.reg,
-                                 policy);
-          }
-          return;
-        }
-        for (std::size_t u = 0; u < updates; ++u) {
-          const std::size_t base = u * b;
-          const std::size_t bsize = std::min(b, len - base);
-          for (std::size_t k = 0; k < bsize; ++k) {
-            const std::size_t slot = seq.next();
-            const std::size_t i = shard.rows[slot];
-            const auto x = data.row(i);
-            const double margin = detail::gather_margin(model, x, wild);
-            const double g = objective.gradient_scale(margin, data.label(i));
-            if (adaptive) ws.last_g[slot] = std::abs(g);
-            ws.batch[k] = {slot, g};
-          }
-          for (std::size_t k = 0; k < bsize; ++k) {
-            const auto [slot, g] = ws.batch[k];
-            const std::size_t i = shard.rows[slot];
-            const auto x = data.row(i);
-            const double scaled_step =
-                lambda * ws.weight[slot] / static_cast<double>(bsize);
-            detail::apply_update(model, x, scaled_step, g, options.reg,
-                                 policy);
-          }
-        }
+        ImportanceDraws draws{*ws.seq, shard.rows.data(), ws.weight.data(),
+                              adaptive ? ws.last_g.data() : nullptr};
+        loop.run(tid, data, draws, ws.seq->epoch_length(),
+                 epoch_step(options, epoch));
       });
   if (options.keep_final_model) recorder.set_final_model(model.snapshot());
   return std::move(recorder).finish(train_seconds);

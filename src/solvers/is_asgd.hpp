@@ -11,8 +11,10 @@
 //      shared model with step λ/(N_tid·p_i) — which under importance balance
 //      equals the paper's λ/(n·p_it) (line 15).
 //
-// The computation kernel is identical to ASGD's — that identity is the whole
-// point, and the ablation benches verify it empirically.
+// The computation kernel is ASGD's loop itself (detail::HogwildLoop) with
+// an importance draw policy: (row, 1/(N_tid·p_i)) pairs, plus an observe
+// hook feeding the adaptive Eq.-11 refresh. Surplus workers (threads > rows)
+// get empty shards.
 #pragma once
 
 #include "data/data_source.hpp"

@@ -34,7 +34,8 @@ Trace run_prox_asgd(const sparse::CsrMatrix& data,
   partition::PartitionOptions popt = options.partition;
   if (!use_importance) popt.strategy = partition::Strategy::kShuffle;
   popt.shuffle_seed = options.seed ^ 0x9a0c;
-  const partition::PartitionPlan plan(importance, threads, popt);
+  const partition::PartitionPlan plan(
+      importance, std::min(threads, importance.size()), popt);
 
   struct WorkerState {
     std::vector<double> weight;  // 1/(N_tid·p_i), unit for uniform
@@ -43,7 +44,7 @@ Trace run_prox_asgd(const sparse::CsrMatrix& data,
   };
   std::vector<WorkerState> workers(threads);
   for (std::size_t tid = 0; tid < threads; ++tid) {
-    const partition::Shard shard = plan.shard(tid);
+    const partition::Shard shard = detail::team_shard(plan, tid);
     const std::size_t local_n = shard.rows.size();
     WorkerState& ws = workers[tid];
     ws.weight.assign(local_n, 1.0);
@@ -73,7 +74,7 @@ Trace run_prox_asgd(const sparse::CsrMatrix& data,
   const double train_seconds = detail::run_epoch_fenced(
       detail::pool_or_default(pool), model, recorder, options.epochs, threads,
       [&](std::size_t tid, std::size_t epoch) {
-        const partition::Shard shard = plan.shard(tid);
+        const partition::Shard shard = detail::team_shard(plan, tid);
         const std::size_t local_n = shard.rows.size();
         if (local_n == 0) return;
         WorkerState& ws = workers[tid];

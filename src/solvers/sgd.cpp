@@ -6,7 +6,6 @@
 #include "sampling/sequence.hpp"
 #include "solvers/async_runner.hpp"
 #include "solvers/solver.hpp"
-#include "solvers/streaming_runner.hpp"
 #include "sparse/kernels.hpp"
 #include "util/rng.hpp"
 

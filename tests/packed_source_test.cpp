@@ -6,8 +6,11 @@
 // make setup provably zero-pass (load-counter assertions, not timing).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -258,6 +261,69 @@ TEST(PackedSource, BufferPoolRecyclesUnderEviction) {
   // The autotuner is live and its depth stays in its contract range
   // (0 is legal: the futility latch fires on hosts with no spare core).
   EXPECT_LE(packed->prefetch_depth(), 8u);
+}
+
+/// RssFile of this process in bytes (file-backed resident pages), read from
+/// /proc/self/status; 0 where the field is absent.
+std::size_t rss_file_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "RssFile:") {
+      std::size_t kb = 0;
+      status >> kb;
+      return kb << 10;
+    }
+    status.ignore(1 << 12, '\n');
+  }
+  return 0;
+}
+
+TEST(PackedSource, DecodedShardsLeaveTheMappingUnderBudget) {
+  // A ~16 MB pack under a 4 MiB budget: decoding every shard twice must not
+  // leave the whole pack mapped — each shard's pages are released once its
+  // decode has copied them out, and the second pass re-faults identical
+  // bytes.
+  data::SyntheticSpec spec;
+  spec.rows = 40000;
+  spec.dim = 20000;
+  spec.mean_row_nnz = 40;
+  spec.seed = 11;
+  const std::string path = ::testing::TempDir() + "packed_rss_" +
+                           std::to_string(::getpid()) + ".issp";
+  io::write_shardpack(path, data::generate(spec), {.shard_rows = 2048});
+  const std::size_t pack_bytes = std::filesystem::file_size(path);
+  {
+    data::PackedOptions opt;
+    opt.memory_budget_bytes = std::size_t{4} << 20;
+    const data::PackedSource packed(path, opt);
+    const std::size_t before = rss_file_bytes();
+    if (before == 0) GTEST_SKIP() << "no RssFile in /proc/self/status";
+    // FNV-1a over each shard's decoded values, per pass.
+    std::vector<std::uint64_t> first_pass(packed.shard_count());
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t s = 0; s < packed.shard_count(); ++s) {
+        const data::ShardPtr shard = packed.shard(s);
+        const auto& values = shard->matrix->values();
+        const auto* p = reinterpret_cast<const unsigned char*>(values.data());
+        std::uint64_t h = 0xcbf29ce484222325ULL;
+        for (std::size_t k = 0; k < values.size() * sizeof(double); ++k) {
+          h = (h ^ p[k]) * 0x100000001b3ULL;
+        }
+        if (pass == 0) {
+          first_pass[s] = h;
+        } else {
+          ASSERT_EQ(h, first_pass[s]) << "shard " << s;
+        }
+      }
+    }
+    const std::size_t after = rss_file_bytes();
+    const std::size_t growth = after > before ? after - before : 0;
+    EXPECT_LT(growth, pack_bytes / 2)
+        << "RssFile grew " << growth << " bytes over a " << pack_bytes
+        << "-byte pack";
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/trainer.hpp"
 #include "data/synthetic.hpp"
 #include "metrics/evaluator.hpp"
 #include "objectives/least_squares.hpp"
@@ -16,6 +17,7 @@
 #include "solvers/solver.hpp"
 #include "solvers/svrg_asgd.hpp"
 #include "solvers/svrg_sgd.hpp"
+#include "sparse/csr_builder.hpp"
 
 namespace isasgd::solvers {
 namespace {
@@ -379,6 +381,33 @@ TEST(AllSolvers, SquaredHingeObjectiveWorksEverywhere) {
                       .eval = ev.as_fn(),
                       .observer = nullptr});
     EXPECT_LT(final_rmse(t), initial_rmse(t)) << t.algorithm;
+  }
+}
+
+TEST(AllSolvers, SurplusWorkersIdleWhenThreadsExceedRows) {
+  // 3 rows, 8 workers: the partitioned solvers plan min(threads, rows)
+  // shards and give the other workers empty ones, as ASGD always has.
+  sparse::CsrBuilder b(4);
+  b.add_row(std::vector<sparse::index_t>{0, 2},
+            std::vector<sparse::value_t>{1.0, 0.5}, 1);
+  b.add_row(std::vector<sparse::index_t>{1, 3},
+            std::vector<sparse::value_t>{0.8, 0.3}, -1);
+  b.add_row(std::vector<sparse::index_t>{0, 3},
+            std::vector<sparse::value_t>{1.1, 0.9}, 1);
+  const auto data = b.build();
+  objectives::LogisticLoss loss;
+  const core::Trainer trainer =
+      core::TrainerBuilder().data(data).objective(loss).eval_threads(1).build();
+  SolverOptions opt;
+  opt.epochs = 2;
+  opt.threads = 8;
+  opt.step_size = 0.5;
+  opt.keep_final_model = true;
+  for (const char* name : {"IS-ASGD", "PROX-ASGD", "IS-PROX-ASGD"}) {
+    Trace t;
+    ASSERT_NO_THROW(t = trainer.train(name, opt)) << name;
+    EXPECT_EQ(t.final_model.size(), data.dim()) << name;
+    EXPECT_LT(t.points.back().objective, t.points.front().objective) << name;
   }
 }
 
