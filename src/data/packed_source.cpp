@@ -110,8 +110,8 @@ const sparse::CsrMatrix& PackedSource::materialize() const {
   lock.unlock();
   util::log_warn() << "PackedSource: materialize() decodes the whole '"
                    << reader_.path() << "' into memory, bypassing the "
-                   << (options_.memory_budget_bytes >> 20)
-                   << " MiB shard budget (solver without streaming support?)";
+                   << util::format_bytes(options_.memory_budget_bytes)
+                   << " shard budget (solver without streaming support?)";
   std::shared_ptr<const sparse::CsrMatrix> full;
   std::exception_ptr error;
   try {

@@ -211,8 +211,8 @@ const sparse::CsrMatrix& StreamingSource::materialize() const {
   lock.unlock();
   util::log_warn() << "StreamingSource: materialize() loads the whole '"
                    << path_ << "' into memory, bypassing the "
-                   << (options_.memory_budget_bytes >> 20)
-                   << " MiB shard budget (solver without streaming "
+                   << util::format_bytes(options_.memory_budget_bytes)
+                   << " shard budget (solver without streaming "
                       "support?)";
   sparse::CsrMatrix full;
   std::exception_ptr error;

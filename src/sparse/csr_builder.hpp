@@ -1,5 +1,5 @@
 // Incremental CSR construction: append rows, then freeze into an immutable
-// CsrMatrix. The synthetic generators and the LibSVM parser both build
+// CsrMatrix. The synthetic generators and the dataset transforms build
 // datasets through this interface.
 #pragma once
 

@@ -19,6 +19,16 @@ LogSink g_sink;
 
 }  // namespace
 
+std::string format_bytes(std::uint64_t bytes) {
+  if (bytes != 0 && bytes % (1u << 20) == 0) {
+    return std::to_string(bytes >> 20) + " MiB";
+  }
+  if (bytes != 0 && bytes % (1u << 10) == 0) {
+    return std::to_string(bytes >> 10) + " KiB";
+  }
+  return std::to_string(bytes) + " bytes";
+}
+
 const char* log_level_name(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug: return "DEBUG";

@@ -3,6 +3,7 @@
 // ergonomics of coarse progress messages, not throughput.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <sstream>
 #include <string>
@@ -32,6 +33,11 @@ void set_log_sink(LogSink sink);
 /// Fixed-width display name ("DEBUG", "INFO ", ...) for sinks that format
 /// their own lines.
 [[nodiscard]] const char* log_level_name(LogLevel level);
+
+/// Exact size for log lines: "N MiB" or "N KiB" when `bytes` is a whole
+/// multiple, else "N bytes" — never rounded, so a 16 KiB cache budget does
+/// not read as "0 MiB".
+[[nodiscard]] std::string format_bytes(std::uint64_t bytes);
 
 namespace detail {
 class LogLine {

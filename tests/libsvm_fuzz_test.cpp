@@ -2,7 +2,8 @@
 // malformed input, tolerance for the benign irregularities real files
 // contain, a libsvm→binary→libsvm round-trip identity, and a deterministic
 // mutation fuzzer asserting the parser either succeeds or throws
-// std::runtime_error — never crashes, never silently mangles.
+// std::runtime_error — never crashes, never silently mangles — and that the
+// parallel file reader agrees with the stream reader on every mutant.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 
 #include "io/binary.hpp"
 #include "io/libsvm.hpp"
+#include "libsvm_parity.hpp"
 #include "util/rng.hpp"
 
 namespace isasgd::io {
@@ -193,6 +195,7 @@ TEST(LibsvmFuzz, MutatedInputsNeverCrashAndErrorsNameALine) {
   util::Rng rng(20260728);
   const std::string alphabet = "0123456789.:+-e \t#\nx";
   std::size_t parsed = 0, rejected = 0;
+  const parity::TempFile file("libsvm_fuzz");
   for (int trial = 0; trial < 600; ++trial) {
     std::string mutated = seed_text;
     const std::size_t edits = 1 + util::uniform_index(rng, 4);
@@ -215,6 +218,15 @@ TEST(LibsvmFuzz, MutatedInputsNeverCrashAndErrorsNameALine) {
       EXPECT_NE(std::string(e.what()).find("line "), std::string::npos)
           << e.what();
       ++rejected;
+    }
+    // The file reader, cut into any number of byte ranges, agrees with the
+    // stream reader: the same matrix bits or the same error message.
+    const std::string& path = file.write(mutated);
+    const parity::Outcome want = parity::stream_outcome(mutated);
+    for (const std::size_t parts : {1, 2, 3, 7}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + ", parts " +
+                   std::to_string(parts));
+      parity::expect_same(want, parity::file_outcome(path, {}, parts));
     }
   }
   // The mutation distribution must actually exercise both outcomes.
